@@ -99,7 +99,7 @@ func main() {
 		elim     = flag.Bool("elim", false, "enable the elimination-backoff contention layer")
 		adaptive = flag.Bool("adaptive", false, "enable the adaptive contention-management subsystem")
 		deadline = flag.Duration("deadline", 0, "per-request service deadline; exhaustion retries until it, then TIMEOUT (0 = immediate BUSY)")
-		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
+		wtimeout = flag.Duration("wtimeout", 0, "write timeout per flush of buffered responses; slow clients are disconnected (0 = none)")
 		slo      = flag.Duration("slo", 0, "p99 service-time SLO; overload sheds lowest-priority tenants (0 = no shedding)")
 
 		metrics    = flag.Bool("metrics", true, "enable the metrics registry and the METRICS wire verb")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,9 +48,9 @@ type Config struct {
 	// service this long. Zero disables the retry loop — exhaustion
 	// answers BUSY immediately.
 	Deadline time.Duration
-	// WriteTimeout bounds one response write; a client that cannot
-	// drain its responses within it is disconnected (shed) so it cannot
-	// pin a worker forever. Zero disables.
+	// WriteTimeout bounds one flush of buffered responses; a client
+	// that cannot drain its responses within it is disconnected (shed)
+	// so it cannot pin a worker forever. Zero disables.
 	WriteTimeout time.Duration
 	// SLO enables the per-tenant overload shedder: when the windowed
 	// p99 service time exceeds SLO, the highest tenant ids (lowest
@@ -157,6 +158,7 @@ type Server struct {
 	shed        atomic.Uint64
 	slowClients atomic.Uint64
 	lostWorkers atomic.Uint64
+	flushes     atomic.Uint64
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -220,6 +222,7 @@ func NewServer(cfg Config) *Server {
 		reg.AddFunc("shed_total", s.shed.Load)
 		reg.AddFunc("slow_clients_total", s.slowClients.Load)
 		reg.AddFunc("lost_workers_total", s.lostWorkers.Load)
+		reg.AddFunc("write_flushes_total", s.flushes.Load)
 		// Self-describing scrapes: process uptime and build identity.
 		reg.AddGauge("uptime_seconds", func() uint64 {
 			return uint64(time.Since(s.started).Seconds())
@@ -361,7 +364,7 @@ func (s *Server) Drain() {
 		s.cfg.Fault.Release()
 	}
 	for _, c := range conns {
-		c.SetReadDeadline(time.Now()) // unblock the scanner; in-flight work finishes
+		c.SetReadDeadline(time.Now()) // unblock the reader; in-flight work finishes
 	}
 	s.wg.Wait()
 }
@@ -445,8 +448,44 @@ func (s *Server) shouldShed(tn int) bool {
 	return level > 0 && tn >= s.cfg.Tenants-level
 }
 
+// maxLine bounds one request line, newline included — bufio.Scanner's
+// default token limit. A longer line ends the connection.
+const maxLine = 64 << 10
+
+// handle serves one connection. Responses are coalesced: the handler
+// flushes only when no complete request line is already buffered (or
+// when draining), so a pipelined batch is answered with one write.
 func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
+	in := bufio.NewReaderSize(conn, maxLine)
+	out := bufio.NewWriter(conn)
+	// pending holds the open spans whose responses await a flush; until
+	// then each one's write stage holds its append instant.
+	var pending []obs.Span
+	var werr error // the first failed flush; the connection is then done
+	flush := func() {
+		if s.cfg.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		}
+		s.flushes.Add(1)
+		werr = out.Flush()
+		end := s.spans.SinceEpoch(time.Now())
+		for _, sp := range pending {
+			sp.Stage[obs.StageWrite] = end - sp.Stage[obs.StageWrite]
+			sp.WallNS = end - sp.StartNS
+			s.finishSpan(w, sp)
+		}
+		pending = pending[:0]
+		var ne net.Error
+		if errors.As(werr, &ne) && ne.Timeout() {
+			s.slowClients.Add(1) // shed the client that can't drain
+		}
+	}
 	defer func() {
+		// Every exit (EOF, a read error, a fault kill's runtime.Goexit)
+		// still sends the responses already computed, best-effort.
+		if werr == nil && out.Buffered() > 0 {
+			flush()
+		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -462,47 +501,45 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 		}
 		s.wg.Done()
 	}()
-	in := bufio.NewScanner(conn)
-	out := bufio.NewWriter(conn)
-	for in.Scan() {
+	for {
+		// bufio.Scanner's line rules: strip "\n" and "\r", serve a
+		// final unterminated line at EOF, end on an overlong line.
+		b, err := in.ReadSlice('\n')
+		if err != nil && (err != io.EOF || len(b) == 0) {
+			return
+		}
+		b = bytes.TrimSuffix(bytes.TrimSuffix(b, []byte{'\n'}), []byte{'\r'})
 		var sp obs.Span
-		resp := s.exec(w, in.Text(), &sp)
+		resp := s.exec(w, string(b), &sp)
+		if len(resp) >= out.Available() {
+			// Make room by hand, so the buffer never writes on its own:
+			// every write then has a deadline and closes its spans.
+			if flush(); werr != nil {
+				return
+			}
+		}
 		// sp.Op is set iff exec opened a span (spans on, data-path op,
-		// clean parse); finish it around the response write so the
-		// write stage and full wall time land in the record.
-		spanning := sp.Op != ""
-		var tw time.Time
-		if spanning {
+		// clean parse).
+		if sp.Op != "" {
 			if borrowNS > 0 {
 				// The connection's first request absorbs the worker
 				// borrow wait; the span starts at accept, not at parse.
 				sp.Stage[obs.StageQueue] = borrowNS
 				sp.StartNS -= borrowNS
+				borrowNS = 0
 			}
-			tw = time.Now()
+			sp.Stage[obs.StageWrite] = s.spans.SinceEpoch(time.Now())
+			pending = append(pending, sp)
 		}
 		out.WriteString(resp)
 		out.WriteByte('\n')
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		err := out.Flush()
-		if spanning {
-			now := time.Now()
-			sp.Stage[obs.StageWrite] = now.Sub(tw).Nanoseconds()
-			sp.WallNS = s.spans.SinceEpoch(now) - sp.StartNS
-			s.finishSpan(w, sp)
-			borrowNS = 0 // attributed once
-		}
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.slowClients.Add(1) // shed the client that can't drain
+		// Coalesce only behind a complete buffered line: a client that
+		// sent half a request may be waiting for these answers.
+		next, _ := in.Peek(in.Buffered())
+		if draining := s.draining.Load(); draining || bytes.IndexByte(next, '\n') < 0 {
+			if flush(); werr != nil || draining {
+				return // shed, or drained: this response flushed; stop reading
 			}
-			return
-		}
-		if s.draining.Load() {
-			return // graceful drain: this response flushed; stop reading
 		}
 	}
 }
@@ -530,8 +567,8 @@ func (s *Server) finishSpan(w *worker, sp obs.Span) {
 // backoff (accumulated by applyWithRetry), the serving thread's kcas
 // counter deltas, and the request id — also installed as the tracer's
 // current request, so every protocol event the execution records
-// carries it. The caller (handle) closes the span around the response
-// write.
+// carries it. The caller (handle) closes the span once the flush that
+// sends its response completes.
 func (s *Server) exec(w *worker, line string, sp *obs.Span) string {
 	spanning := s.spans != nil
 	var t0 time.Time

@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -285,6 +286,254 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 	if !strings.HasPrefix(cl.roundTrip(t, "STATS", false).Raw, "{") {
 		t.Fatal("STATS did not return JSON")
+	}
+
+	// "\r\n" line endings: the "\r" is stripped, not parsed.
+	for _, line := range []string{"PING\r", "PUT 1 6 600\r"} {
+		if r := cl.roundTrip(t, line, false); !r.OK() {
+			t.Fatalf("%q: %+v", line, r)
+		}
+	}
+	if r := cl.roundTrip(t, "GET 1 6\r", true); !r.OK() || r.Vals[0] != 600 {
+		t.Fatalf("GET with CRLF: %+v", r)
+	}
+
+	// A pipelined mix of control and data verbs is answered in request
+	// order.
+	batch := []struct{ req, want string }{
+		{"PUT 0 7 700", "OK"}, {"PING", "OK"}, {"GET 0 7", "OK 700"},
+		{"STATS", "OK {*"}, {"WAT", "ERR *"}, {"DEL 0 7", "OK 700"},
+		{"PING", "OK"}, {"GET 0 7", "NF"},
+	}
+	var send strings.Builder
+	for _, b := range batch {
+		send.WriteString(b.req + "\n")
+	}
+	if _, err := cl.conn.Write([]byte(send.String())); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batch { // a trailing "*" matches any rest
+		got := cl.readLine(t)
+		if p, ok := strings.CutSuffix(b.want, "*"); got != b.want && !(ok && strings.HasPrefix(got, p)) {
+			t.Fatalf("pipelined %q: got %q, want %q", b.req, got, b.want)
+		}
+	}
+
+	// A final line without "\n" is served at EOF.
+	c2 := dial(t, ln.Addr().String())
+	defer c2.conn.Close()
+	if _, err := c2.conn.Write([]byte("PUT 1 9 900\nGET 1 9")); err != nil {
+		t.Fatal(err)
+	}
+	c2.conn.(*net.TCPConn).CloseWrite()
+	for _, want := range []string{"OK", "OK 900"} {
+		if got := c2.readLine(t); got != want {
+			t.Fatalf("unterminated final line: got %q, want %q", got, want)
+		}
+	}
+	c2.expectClosed(t)
+
+	// A line longer than 64 KiB ends the connection.
+	c3 := dial(t, ln.Addr().String())
+	defer c3.conn.Close()
+	if r := c3.roundTrip(t, "PING", false); !r.OK() {
+		t.Fatalf("PING: %+v", r)
+	}
+	c3.conn.Write([]byte(strings.Repeat("A", 70<<10) + "\n")) // may fail once the server hangs up
+	c3.expectClosed(t)
+}
+
+// readLine reads one response line under a 5 s deadline.
+func (c *client) readLine(t *testing.T) string {
+	t.Helper()
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if !c.in.Scan() {
+		t.Fatalf("no response line: %v", c.in.Err())
+	}
+	return c.in.Text()
+}
+
+// expectClosed asserts that the server ends the connection with no
+// further response.
+func (c *client) expectClosed(t *testing.T) {
+	t.Helper()
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if c.in.Scan() {
+		t.Fatalf("unexpected response %q, want the connection closed", c.in.Text())
+	}
+	var ne net.Error
+	if err := c.in.Err(); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open after 5s")
+	}
+}
+
+// TestServerAnswersBeforePartialLine: coalescing never holds computed
+// answers behind a half-sent request.
+func TestServerAnswersBeforePartialLine(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	cl := dial(t, ln.Addr().String())
+	defer cl.conn.Close()
+	if _, err := cl.conn.Write([]byte("PUT 0 1 100\nGET 0 1\nGET 0")); err != nil {
+		t.Fatal(err)
+	}
+	cl.conn.SetReadDeadline(time.Now().Add(time.Second))
+	for _, want := range []string{"OK", "OK 100"} {
+		if !cl.in.Scan() {
+			t.Fatalf("answer %q held behind a partial line: %v", want, cl.in.Err())
+		}
+		if got := cl.in.Text(); got != want {
+			t.Fatalf("got %q, want %q", got, want)
+		}
+	}
+	if _, err := cl.conn.Write([]byte(" 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.readLine(t); got != "OK 100" {
+		t.Fatalf("completed line: got %q, want OK 100", got)
+	}
+}
+
+// TestServerCoalescesPipelinedBatch: a pipelined batch is answered with
+// far fewer flushes than requests, and every data-path request in it
+// still gets exactly one span whose write stage is measured to its
+// batch's flush.
+func TestServerCoalescesPipelinedBatch(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Metrics: true, Spans: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	cl := dial(t, ln.Addr().String())
+	defer cl.conn.Close()
+	const n = 64
+	var send strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&send, "PUT 0 %d %d\n", i, 100+i)
+	}
+	if _, err := cl.conn.Write([]byte(send.String())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got := cl.readLine(t); got != "OK" {
+			t.Fatalf("PUT %d: got %q", i, got)
+		}
+	}
+	if f := s.Stats().Obs["write_flushes_total"]; f == 0 || f > n/4 {
+		t.Fatalf("write_flushes_total = %d for a batch of %d, want 1..%d", f, n, n/4)
+	}
+	spans := s.spans.Completed()
+	if len(spans) != n {
+		t.Fatalf("%d spans for %d requests", len(spans), n)
+	}
+	seen := make(map[uint64]bool)
+	for _, sp := range spans {
+		if seen[sp.Req] {
+			t.Fatalf("request %d has two spans", sp.Req)
+		}
+		seen[sp.Req] = true
+		var sum int64
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			sum += sp.Stage[st]
+		}
+		if sp.Stage[obs.StageWrite] <= 0 || sum > sp.WallNS {
+			t.Fatalf("span req=%d: write %d, stage sum %d, wall %d", sp.Req, sp.Stage[obs.StageWrite], sum, sp.WallNS)
+		}
+	}
+}
+
+// TestServerFlushesBatchBeforeKill: a handler killed mid-batch by a
+// fault still sends the answers to every earlier request in its batch,
+// and loses only the request it died in.
+func TestServerFlushesBatchBeforeKill(t *testing.T) {
+	const puts, killAt = 4, 3 // the third MOVE's publish kills its handler
+	plan, err := repro.ParseFaultPlan([]string{fmt.Sprintf("kcas-publish:kill:nth=%d", killAt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Fault: plan})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	cl := dial(t, ln.Addr().String())
+	defer cl.conn.Close()
+	var send strings.Builder
+	for i := 0; i < puts; i++ {
+		fmt.Fprintf(&send, "PUT 0 %d %d\n", i, 100+i)
+	}
+	for i := 0; i < puts; i++ {
+		fmt.Fprintf(&send, "MOVE 0 1 %d %d\n", i, i)
+	}
+	if _, err := cl.conn.Write([]byte(send.String())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < puts+killAt-1; i++ {
+		if got := cl.readLine(t); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("request %d: got %q, want OK", i, got)
+		}
+	}
+	cl.expectClosed(t)
+}
+
+// TestServerShedsSlowClient: a client that pipelines requests and never
+// reads its answers is disconnected once a flush outlasts the write
+// timeout, and its worker returns to the pool.
+func TestServerShedsSlowClient(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 1, Buckets: 2,
+		Metrics: true, WriteTimeout: 50 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	go func() {
+		// Large answers fill the socket buffers fast; the writes fail
+		// once the server hangs up.
+		batch := []byte(strings.Repeat("METRICS\n", 64))
+		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		for {
+			if _, err := conn.Write(batch); err != nil {
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for s.slowClients.Load() == 0 || len(s.workers) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow client not shed: slow_clients=%d, idle workers=%d",
+				s.slowClients.Load(), len(s.workers))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := s.Stats().Obs["slow_clients_total"]; n != 1 {
+		t.Fatalf("slow_clients_total = %d, want 1", n)
+	}
+	// The one worker serves the next client.
+	cl := dial(t, ln.Addr().String())
+	defer cl.conn.Close()
+	if r := cl.roundTrip(t, "PING", false); !r.OK() {
+		t.Fatalf("PING after shedding: %+v", r)
 	}
 }
 
