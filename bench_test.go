@@ -15,6 +15,7 @@
 //	go test -bench 'HashMove'    # §1.1 hash-map scenario
 //	go test -bench 'MapChurn'    # sharded-map churn + MoveN rebalance
 //	go test -bench 'Elim'        # elimination-backoff layer off vs on
+//	go test -bench 'Parallel'    # hot-path bookkeeping under RunParallel
 //
 // The paper's full parameters are 5M ops × 50 trials × 1–16 threads; the
 // benchmarks default to a scaled-down cell (100k ops) so a full sweep
@@ -23,7 +24,9 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/elim"
 	"repro/internal/harness"
+	"repro/internal/hashmap"
 	"repro/internal/hazard"
 	"repro/internal/kcas"
 	"repro/internal/msqueue"
@@ -334,6 +338,52 @@ func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
 		}(t)
 	}
 	wg.Wait()
+}
+
+// --- Parallel bookkeeping: per-thread state vs shared lines -----------------
+
+// BenchmarkAllocRetireParallel times one node allocation plus its
+// retirement on every goroutine at once. The memory manager's per-node
+// counters live in each thread's cache, so the threads share no written
+// line here except on the rare spill to the global stack.
+func BenchmarkAllocRetireParallel(b *testing.B) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: runtime.GOMAXPROCS(0) + 1, ArenaCapacity: 1 << 20})
+	b.RunParallel(func(pb *testing.PB) {
+		th := rt.RegisterThread()
+		for pb.Next() {
+			th.RetireNode(th.AllocNode())
+		}
+		th.FlushMemory()
+	})
+}
+
+// BenchmarkMapInsertRemoveSameShardParallel: every goroutine inserts
+// and removes its own keys in one single-shard map, so all of them
+// write the shard's element counter and the table's insert
+// announcement counter, while each operation reads the shard's table
+// pointer and the table's bucket array — the fields the hash map keeps
+// on separate cache lines. The buckets are plentiful and the load
+// stays far below the grow threshold, so no grow runs.
+func BenchmarkMapInsertRemoveSameShardParallel(b *testing.B) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: runtime.GOMAXPROCS(0) + 2, ArenaCapacity: 1 << 20})
+	m := hashmap.NewSharded(rt.RegisterThread(), 1, 1024, 0)
+	var ids atomic.Uint64
+	b.RunParallel(func(pb *testing.PB) {
+		th := rt.RegisterThread()
+		base := ids.Add(1) << 32
+		for i := uint64(0); pb.Next(); i++ {
+			k := base | i&1023
+			if !m.Insert(th, k, i) {
+				b.Error("insert of an absent key failed")
+				return
+			}
+			if _, ok := m.Remove(th, k); !ok {
+				b.Error("remove of a present key failed")
+				return
+			}
+		}
+		th.FlushMemory()
+	})
 }
 
 // --- E-MOVEN: §8 extension --------------------------------------------------

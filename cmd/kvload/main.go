@@ -30,11 +30,14 @@
 // With -audit (default), the run tracks every successful PUT/DEL/
 // PUSH/POP from responses — counts and wrapping value-sums, which
 // commute, so cross-connection response ordering cannot skew them —
-// and compares the expectation against the server's AUDIT totals
-// after the workers quiesce. Composed MOVE/XFER/DRAIN traffic must
-// leave all totals unchanged: that is the paper's composition claim
-// (an element is in exactly one object at every instant) checked over
-// the wire. A failed audit exits nonzero.
+// and compares the expected change against the change in the server's
+// AUDIT totals from before the prefill to after the workers quiesce.
+// Composed MOVE/XFER/DRAIN traffic must leave all totals unchanged:
+// that is the paper's composition claim (an element is in exactly one
+// object at every instant) checked over the wire. Because the audit
+// compares changes, a server reused from earlier runs audits like a
+// fresh one, as long as kvload is its only client. A failed audit
+// exits nonzero.
 //
 // # Output
 //
@@ -120,6 +123,11 @@ func main() {
 		prefill: *prefill, seed: *seed,
 		timeout: *timeout, maxRetries: *retries,
 		rec: latency.NewRecorder(*conns, *tenants, int(kvwire.OpCount)),
+	}
+	if *audit {
+		if err := g.baseline(); err != nil {
+			fatal(fmt.Errorf("audit baseline: %w", err))
+		}
 	}
 	if err := g.run(); err != nil {
 		fatal(err)
@@ -260,6 +268,8 @@ type generator struct {
 	// skew them regardless of response interleaving.
 	putN, delN, pushN, popN atomic.Uint64
 	putSum, delSum          atomic.Uint64
+	// base holds the server's AUDIT totals taken before the prefill.
+	base [3]uint64
 
 	start   time.Time
 	elapsed time.Duration
@@ -653,28 +663,50 @@ func (g *generator) account(w int, req kvwire.Request, resp kvwire.Response) {
 	}
 }
 
-// audit fetches the server's totals and compares them with the
-// response-tracked expectations.
-func (g *generator) audit() (kvwire.Audit, error) {
-	c, err := dialConn(g.addr)
+// fetchAudit sends the AUDIT verb and returns the server's totals:
+// map entries, map value-sum, queue entries.
+func fetchAudit(addr string) ([3]uint64, error) {
+	c, err := dialConn(addr)
 	if err != nil {
-		return kvwire.Audit{}, err
+		return [3]uint64{}, err
 	}
 	defer c.c.Close()
 	r, err := c.roundTrip(kvwire.Request{Op: kvwire.OpAudit})
 	if err != nil {
-		return kvwire.Audit{}, err
+		return [3]uint64{}, err
 	}
 	if !r.OK() || len(r.Vals) != 3 {
-		return kvwire.Audit{}, fmt.Errorf("bad AUDIT response %+v", r)
+		return [3]uint64{}, fmt.Errorf("bad AUDIT response %+v", r)
 	}
+	return [3]uint64{r.Vals[0], r.Vals[1], r.Vals[2]}, nil
+}
+
+// baseline records the server's totals before the run touches them.
+func (g *generator) baseline() (err error) {
+	g.base, err = fetchAudit(g.addr)
+	return err
+}
+
+// audit fetches the server's totals and compares their change since
+// the baseline with the response-tracked expectations. Differences of
+// unsigned counters are taken modulo 2^64 and read as signed, so a run
+// that deletes more than it inserts reports a negative change.
+func (g *generator) audit() (kvwire.Audit, error) {
+	got, err := fetchAudit(g.addr)
+	if err != nil {
+		return kvwire.Audit{}, err
+	}
+	delta := func(a, b uint64) int64 { return int64(a - b) }
 	a := kvwire.Audit{
-		ExpectMapCount:   g.putN.Load() - g.delN.Load(),
-		ExpectMapSum:     g.putSum.Load() - g.delSum.Load(),
-		ExpectQueueCount: g.pushN.Load() - g.popN.Load(),
-		GotMapCount:      r.Vals[0],
-		GotMapSum:        r.Vals[1],
-		GotQueueCount:    r.Vals[2],
+		BaseMapCount:     g.base[0],
+		BaseMapSum:       g.base[1],
+		BaseQueueCount:   g.base[2],
+		ExpectMapCount:   delta(g.putN.Load(), g.delN.Load()),
+		ExpectMapSum:     delta(g.putSum.Load(), g.delSum.Load()),
+		ExpectQueueCount: delta(g.pushN.Load(), g.popN.Load()),
+		GotMapCount:      delta(got[0], g.base[0]),
+		GotMapSum:        delta(got[1], g.base[1]),
+		GotQueueCount:    delta(got[2], g.base[2]),
 	}
 	a.Pass = a.GotMapCount == a.ExpectMapCount &&
 		a.GotMapSum == a.ExpectMapSum &&
@@ -749,9 +781,9 @@ func printAudit(a kvwire.Audit) {
 	if !a.Pass {
 		verdict = "FAIL"
 	}
-	fmt.Printf("conservation audit: %s (maps %d/%d entries, sum %d/%d; queues %d/%d) [expect/got]\n",
+	fmt.Printf("conservation audit: %s (maps %+d/%+d entries, sum %+d/%+d; queues %+d/%+d) [expect/got change; server held %d map entries, %d queued at start]\n",
 		verdict, a.ExpectMapCount, a.GotMapCount, a.ExpectMapSum, a.GotMapSum,
-		a.ExpectQueueCount, a.GotQueueCount)
+		a.ExpectQueueCount, a.GotQueueCount, a.BaseMapCount, a.BaseQueueCount)
 }
 
 func fatal(err error) {

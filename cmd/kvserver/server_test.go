@@ -431,7 +431,13 @@ func TestServerCoalescesPipelinedBatch(t *testing.T) {
 	if f := s.Stats().Obs["write_flushes_total"]; f == 0 || f > n/4 {
 		t.Fatalf("write_flushes_total = %d for a batch of %d, want 1..%d", f, n, n/4)
 	}
+	// A batch's spans close just after its flush returns, so the client
+	// can read the last answer before the handler has recorded them.
 	spans := s.spans.Completed()
+	for deadline := time.Now().Add(2 * time.Second); len(spans) < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		spans = s.spans.Completed()
+	}
 	if len(spans) != n {
 		t.Fatalf("%d spans for %d requests", len(spans), n)
 	}

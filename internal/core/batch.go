@@ -90,7 +90,7 @@ func (t *Thread) finishBatchFlush() {
 	// helping mirror slots are published and cleared by the helping
 	// paths themselves, which bypass the deferral)...
 	for dirty := t.batchDirty; dirty != 0; dirty &= dirty - 1 {
-		t.rt.nodeDom.Clear(t.id, bits.TrailingZeros32(dirty))
+		t.hp[bits.TrailingZeros32(dirty)].Store(0)
 	}
 	t.batchDirty = 0
 	// ...then hand the flush's unlinked nodes to the reclaimer: with the

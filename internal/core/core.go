@@ -238,6 +238,7 @@ func (rt *Runtime) RegisterThread() *Thread {
 		id:    id,
 		rt:    rt,
 		cache: rt.mm.NewCache(id),
+		hp:    rt.nodeDom.Record(id),
 		kctx: kcas.NewCtx(rt.pool, rt.nodeDom, id, kcas.Slots{
 			PairHPD: slotHPD, KHPD: slotKHPD, RDCSSHPD: slotRDCSSHPD,
 			PairMirror1: slotMirror1, PairMirror2: slotMirror2,

@@ -145,6 +145,8 @@ func (t *Thread) runChain() (uint64, bool) {
 	t.mFailed = -1
 	t.mAbort = false
 	t.mDepth = 0
+	t.mReached[0] = false
+	t.scasAborted = false
 
 	first := t.mSteps[0]
 	val, ok := first.rem.Remove(t, first.key)

@@ -73,9 +73,17 @@ func (t *Thread) SCASRemove(w *word.Word, old, new, element, hp uint64) FResult 
 }
 
 func (t *Thread) scasRemoveSlow(w *word.Word, old, new, element, hp uint64) FResult {
+	var r FResult
 	if t.mdesc != nil {
-		return t.moveNRemoveSCAS(w, old, new, element, hp)
+		r = t.moveNRemoveSCAS(w, old, new, element, hp)
+	} else {
+		r = t.moveRemoveSCAS(w, old, new, element, hp)
 	}
+	t.scasAborted = r == FAbort
+	return r
+}
+
+func (t *Thread) moveRemoveSCAS(w *word.Word, old, new, element, hp uint64) FResult {
 	e := &t.desc.Entries[0]
 	e.Ptr, e.Old, e.New = w, old, new           // M11–M13
 	e.HP = word.NodeIndex(hp)                   // M14
@@ -103,9 +111,17 @@ func (t *Thread) SCASInsert(w *word.Word, old, new, hp uint64) FResult {
 }
 
 func (t *Thread) scasInsertSlow(w *word.Word, old, new, hp uint64) FResult {
+	var r FResult
 	if t.mdesc != nil {
-		return t.moveNInsertSCAS(w, old, new, hp)
+		r = t.moveNInsertSCAS(w, old, new, hp)
+	} else {
+		r = t.moveInsertSCAS(w, old, new, hp)
 	}
+	t.scasAborted = r == FAbort
+	return r
+}
+
+func (t *Thread) moveInsertSCAS(w *word.Word, old, new, hp uint64) FResult {
 	d := t.desc
 	e := &d.Entries[1]
 	e.Ptr, e.Old, e.New = w, old, new // M24–M26
@@ -175,6 +191,7 @@ func (t *Thread) MoveUnchecked(src Remover, dst Inserter, skey, tkey uint64) (ui
 	}
 	d, ref := t.kctx.AllocPair() // M2–M3: fresh descriptor, res = UNDECIDED
 	t.desc, t.descRef = d, ref
+	t.scasAborted = false
 	t.ltarget, t.ltkey = dst, tkey // M4–M5
 	val, ok := src.Remove(t, skey) // M6
 	cur, curRef := t.desc, t.descRef

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/adapt"
 	"repro/internal/arena"
 	"repro/internal/backoff"
@@ -23,6 +25,7 @@ type Thread struct {
 	rt    *Runtime
 	cache *mm.Cache
 	kctx  *kcas.Ctx
+	hp    []atomic.Uint64 // this thread's node hazard record
 
 	// Algorithm 3 thread-local variables for the two-object move.
 	desc      *kcas.Desc
@@ -43,6 +46,13 @@ type Thread struct {
 	mAbort   bool
 	mDepth   int    // entry index the active step fills
 	mElement uint64 // element threaded through the chain
+
+	// scasAborted records whether the most recent composed scas ordered
+	// its operation to abort (see StepAborted).
+	scasAborted bool
+	// pins is the stack of container announcements the running
+	// composition holds (see PinObject); pins nest with the chain.
+	pins []any
 
 	// Rng is this thread's private random source, seeded from the
 	// thread id at registration. The elimination layer draws slot
@@ -136,7 +146,7 @@ func (t *Thread) ProtectNode(slot int, ref uint64) {
 		}
 		t.batchDirty |= 1 << uint(slot)
 	}
-	t.rt.nodeDom.Protect(t.id, slot, word.NodeIndex(ref))
+	t.hp[slot].Store(word.NodeIndex(ref))
 }
 
 // ClearNode clears a hazard slot (deferred inside a batch flush).
@@ -144,7 +154,7 @@ func (t *Thread) ClearNode(slot int) {
 	if t.batchActive {
 		return
 	}
-	t.rt.nodeDom.Clear(t.id, slot)
+	t.hp[slot].Store(0)
 }
 
 // ClearHazards clears every node hazard slot this thread owns; container
@@ -154,7 +164,9 @@ func (t *Thread) ClearHazards() {
 	if t.batchActive {
 		return
 	}
-	t.rt.nodeDom.ClearAll(t.id)
+	for i := range t.hp {
+		t.hp[i].Store(0)
+	}
 }
 
 // HoldNode publishes the node referenced by ref in the i-th chain hold
@@ -166,15 +178,18 @@ func (t *Thread) ClearHazards() {
 // the pending k-word CAS. Holds bypass the batch-flush deferral: they
 // have their own release point (ReleaseHolds), not the flush's.
 func (t *Thread) HoldNode(i int, ref uint64) {
-	t.rt.nodeDom.Protect(t.id, slotChainHoldBase+i, word.NodeIndex(ref))
+	t.hp[slotChainHoldBase+i].Store(word.NodeIndex(ref))
 }
 
 // ReleaseHolds clears every chain hold slot; composed operations call
 // it once when their chain completes (either way), also bypassing the
-// batch-flush deferral.
+// batch-flush deferral. The thread is its record's only writer, so it
+// skips the (fenced) store for slots a short chain never used.
 func (t *Thread) ReleaseHolds() {
 	for i := 0; i < kcas.MaxEntries; i++ {
-		t.rt.nodeDom.Clear(t.id, slotChainHoldBase+i)
+		if h := &t.hp[slotChainHoldBase+i]; h.Load() != 0 {
+			h.Store(0)
+		}
 	}
 }
 
@@ -253,6 +268,55 @@ func (t *Thread) Fault(p fault.Point) {
 	if t.flt != nil {
 		t.flt.Fire(p, t.id)
 	}
+}
+
+// StepAborted reports, inside a composition, whether the running step's
+// last scas ordered it to abort (FAbort): the composition is unwinding
+// to an earlier step or failing as a whole. A container whose remove
+// walks several inner objects (the hash map's table chain) checks it
+// when an inner Remove returns false, because an aborted step is not a
+// miss — walking on would re-capture the step in a descriptor whose
+// earlier entries were dropped. Outside a composition it is false.
+func (t *Thread) StepAborted() bool { return t.scasAborted && t.MoveInFlight() }
+
+// PinObject records that the running composition holds an in-flight
+// announcement on obj (a container-chosen token, compared by identity)
+// until the matching UnpinObject. Pins nest with the composition's
+// steps, so they form a stack. Containers whose inserts announce
+// themselves to a concurrent grow use them to tell their own
+// composition's announcements from other threads'.
+func (t *Thread) PinObject(obj any) { t.pins = append(t.pins, obj) }
+
+// UnpinObject drops the most recent pin.
+func (t *Thread) UnpinObject() {
+	t.pins[len(t.pins)-1] = nil
+	t.pins = t.pins[:len(t.pins)-1]
+}
+
+// Pins reports how many of this thread's pins name obj, and how many
+// pins it holds in all.
+func (t *Thread) Pins(obj any) (on, total int) {
+	for _, p := range t.pins {
+		if p == obj {
+			on++
+		}
+	}
+	return on, len(t.pins)
+}
+
+// RestartChain makes the running chain composition (MoveN, TransferN)
+// unwind to its first step and run again instead of failing. A step
+// calls it, then returns false, when it cannot proceed while the
+// composition still holds state its earlier steps acquired — waiting
+// there could deadlock against another composition doing the same.
+// Nothing has been announced at that point, so the restart is
+// invisible. Outside a chain it is a no-op.
+func (t *Thread) RestartChain() {
+	if t.mdesc == nil {
+		return
+	}
+	t.mFailed = 0
+	t.mReached[t.mDepth] = true
 }
 
 // MoveInFlight reports whether this thread is currently inside a move

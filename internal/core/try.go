@@ -74,6 +74,8 @@ func (t *Thread) resetAfterExhaustion() {
 	t.mAbort = false
 	t.mFailed = -1
 	t.mDepth = 0
+	clear(t.pins)
+	t.pins = t.pins[:0]
 
 	t.ReleaseHolds()
 	t.ClearHazards()

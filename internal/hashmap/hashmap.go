@@ -112,12 +112,18 @@ const DefaultGrowLoad = 6
 
 // Map is a sharded, resizable lock-free hash map from uint64 keys to
 // uint64 values.
+//
+// Layout rule for Map, shard and table: a field written on a hot path
+// never shares a cache line with fields every lookup reads. Each
+// operation reads the shape fields below; the grow counters after the
+// pad are bumped once per migrated entry.
 type Map struct {
 	shards    []shard
 	shardMask uint64
 	shardBits uint
 	growLoad  int64
 	id        uint64
+	_         pad.Line
 
 	grows    atomic.Uint64 // completed seal decisions
 	migrated atomic.Uint64 // entries relocated by MoveN during grows
@@ -132,25 +138,43 @@ var _ core.MoveReady = (*Map)(nil)
 const hotRetryBudget = 1
 
 // shard is one partition: a chain of tables plus its element counter.
+// Every operation reads cur/elim/ctrl; only successful inserts and
+// removes write count. A full line of padding separates count from the
+// read-mostly fields of its own shard and of the next one, whatever
+// the array's alignment (the allocator puts a header in front of large
+// pointerful arrays, so the array starts 8 bytes past a line). The
+// size is three whole lines.
 type shard struct {
-	cur   atomic.Pointer[table] // oldest undrained table; chain via next
-	count atomic.Int64
-	elim  *elim.Array // per-shard elimination array, nil when disabled
+	cur  atomic.Pointer[table] // oldest undrained table; chain via next
+	elim *elim.Array           // per-shard elimination array, nil when disabled
 	// ctrl is the shard's adaptive controller (nil when
 	// core.Config.Adaptive is off); its presence implies elim != nil.
 	ctrl *adapt.Controller
 	_    pad.Line
+
+	count atomic.Int64
+	_     [3*pad.CacheLineSize - 96]byte
 }
 
-// table is one bucket array generation of a shard.
+// table is one bucket array generation of a shard. The first fields
+// are read by every operation and written only by the grow protocol's
+// one-shot flags; the insert announcement counter and the drain claim
+// cursor, written per insert and per claimed bucket, are each fenced
+// by a full line, so no alignment puts them on a line with another
+// field or with a neighbouring allocation.
 type table struct {
 	buckets  []*harrislist.List
 	mask     uint64
-	sealed   atomic.Bool           // no new inserts (grow pending/running)
-	ins      atomic.Int64          // in-flight inserts admitted pre-seal
-	draining atomic.Bool           // quiescence reached; entries may move
-	claim    atomic.Int64          // next bucket index to claim for drain
 	next     atomic.Pointer[table] // successor table; set once, never cleared
+	sealed   atomic.Bool           // no new inserts (grow pending/running)
+	draining atomic.Bool           // quiescence reached; entries may move
+	_        pad.Line
+
+	ins atomic.Int64 // in-flight inserts admitted pre-seal
+	_   pad.Line
+
+	claim atomic.Int64 // next bucket index to claim for drain
+	_     pad.Line
 }
 
 func (tb *table) bucket(h uint64, shardBits uint) *harrislist.List {
@@ -322,6 +346,13 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 			tab.ins.Add(-1)
 			continue // sealed branch above handles both cases
 		}
+		// Inside a composition the announcement outlives this call's
+		// scas (later steps run nested in it): pin it, so a later step
+		// of the same composition can tell it from other threads'.
+		inMove := t.MoveInFlight()
+		if inMove {
+			t.PinObject(tab)
+		}
 		b := tab.bucket(h, m.shardBits)
 		var ok, done bool
 		if m.hotElim(t, s) {
@@ -330,6 +361,9 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 			ok, done = b.InsertBounded(t, key, val, hotRetryBudget)
 		} else {
 			ok, done = b.Insert(t, key, val), true
+		}
+		if inMove {
+			t.UnpinObject()
 		}
 		tab.ins.Add(-1)
 		if !done {
@@ -346,7 +380,7 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 		}
 		if ok {
 			n := s.count.Add(1)
-			if !t.MoveInFlight() && n > int64(len(tab.buckets))*m.effGrowLoad(s) &&
+			if !inMove && n > int64(len(tab.buckets))*m.effGrowLoad(s) &&
 				tab.sealed.CompareAndSwap(false, true) {
 				m.grows.Add(1)
 				m.helpGrow(t, s, tab)
@@ -412,9 +446,28 @@ func (m *Map) adaptTick(t *core.Thread, s *shard) {
 // genuine duplicate: abort the move), then announce on the successor
 // and insert there. retry asks the caller to re-read the shard when the
 // chain advanced mid-route.
+//
+// The wait excludes the composition's own announcements: an earlier
+// step of the same chain may still be announced on tab, and it cannot
+// withdraw before this step completes. Those announcements are for
+// other keys (a chain's target keys are pairwise distinct), so they
+// cannot make the duplicate check stale. A composition holding any
+// announcement never waits for another thread's, though — two chains
+// could each hold what the other waits for — so it restarts instead,
+// dropping its announcements; only threads holding none wait. Setting
+// draining stays with the sealer, whose wait counts every announcement.
 func (m *Map) insertRouted(t *core.Thread, s *shard, tab *table, h, key, val uint64) (ok, retry bool) {
 	next := m.ensureNext(t, tab)
-	tab.quiesceInserts()
+	if !tab.draining.Load() {
+		own, held := t.Pins(tab)
+		for tab.ins.Load() > int64(own) {
+			if held > 0 {
+				t.RestartChain()
+				return false, false
+			}
+			runtime.Gosched()
+		}
+	}
 	if _, dup := tab.bucket(h, m.shardBits).Contains(t, key); dup {
 		return false, false
 	}
@@ -426,7 +479,9 @@ func (m *Map) insertRouted(t *core.Thread, s *shard, tab *table, h, key, val uin
 		next.ins.Add(-1)
 		return false, true
 	}
+	t.PinObject(next)
 	ok = next.bucket(h, m.shardBits).Insert(t, key, val)
+	t.UnpinObject()
 	next.ins.Add(-1)
 	if ok {
 		s.count.Add(1)
@@ -450,12 +505,18 @@ func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 }
 
 // removeWalk is the chain walk of Remove, shared with the elimination
-// path's absence re-walk.
+// path's absence re-walk. A bucket Remove that fails because the
+// surrounding composition is unwinding is not a miss: the walk stops
+// there, or it would capture the step again, on the successor table,
+// into a descriptor whose earlier entries were dropped.
 func (m *Map) removeWalk(t *core.Thread, s *shard, h, key uint64) (uint64, bool) {
 	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
 		if v, ok := tab.bucket(h, m.shardBits).Remove(t, key); ok {
 			s.count.Add(-1)
 			return v, true
+		}
+		if t.StepAborted() {
+			return 0, false
 		}
 	}
 	return 0, false

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestProtectSnapshotClear(t *testing.T) {
@@ -138,4 +139,60 @@ func TestNoProtectedReclamation(t *testing.T) {
 		}(r + 1)
 	}
 	wg.Wait()
+}
+
+// TestRecordsWholeLines: every record starts on a cache-line boundary
+// and spans whole lines, so no two threads' slots share a line.
+func TestRecordsWholeLines(t *testing.T) {
+	for _, slots := range []int{1, 3, 8, 9, 24} {
+		d := New(4, slots)
+		if d.stride*8%64 != 0 || d.stride < slots {
+			t.Fatalf("slotsPer=%d: stride %d slots is not whole lines", slots, d.stride)
+		}
+		for tid := 0; tid < 4; tid++ {
+			if a := uintptr(unsafe.Pointer(&d.slots[tid*d.stride])); a%64 != 0 {
+				t.Fatalf("slotsPer=%d: record %d at %#x is not line-aligned", slots, tid, a)
+			}
+		}
+	}
+}
+
+// TestLateThreadIsScanned: a thread whose first publish comes after
+// earlier scans (which read fewer records) is still seen by the next
+// scan.
+func TestLateThreadIsScanned(t *testing.T) {
+	d := New(8, 3)
+	d.Protect(0, 0, 11)
+	if snap := d.Snapshot(nil); len(snap) != 1 || d.Claimed() != 1 {
+		t.Fatalf("snapshot %v with %d claimed records, want [11] and 1", snap, d.Claimed())
+	}
+	d.Protect(5, 2, 55)
+	snap := d.Snapshot(nil)
+	if !Protected(snap, 55) || !Protected(snap, 11) {
+		t.Fatalf("late thread's protection missing from %v", snap)
+	}
+	if d.Claimed() != 6 {
+		t.Fatalf("claimed=%d after thread 5 published, want 6", d.Claimed())
+	}
+}
+
+// TestUnclaimedRecordsNotRead: slots of records beyond the high-water
+// mark are never read by a scan. The test writes such a slot behind
+// Protect's back — something no caller can do — to observe that.
+func TestUnclaimedRecordsNotRead(t *testing.T) {
+	d := New(4, 2)
+	d.Claim(1)
+	d.Protect(0, 0, 7)
+	d.slots[3*d.stride].Store(99) // record 3 is unclaimed
+	snap := d.Snapshot(nil)
+	if Protected(snap, 99) {
+		t.Fatalf("scan read unclaimed record 3: %v", snap)
+	}
+	if !Protected(snap, 7) {
+		t.Fatalf("claimed record 0 missing: %v", snap)
+	}
+	d.Claim(3)
+	if !Protected(d.Snapshot(nil), 99) {
+		t.Fatal("record 3 not scanned after its claim")
+	}
 }

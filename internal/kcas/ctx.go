@@ -1,9 +1,12 @@
 package kcas
 
 import (
+	"sync/atomic"
+
 	"repro/internal/fault"
 	"repro/internal/hazard"
 	"repro/internal/obs"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -43,10 +46,12 @@ type Slots struct {
 // operations of either kind. Not safe for concurrent use: one per
 // registered thread.
 type Ctx struct {
-	tid     int
-	pool    *Pool
-	nodeDom *hazard.Domain
-	slots   Slots
+	tid   int
+	pool  *Pool
+	slots Slots
+	// nodeHP and descHP are this thread's hazard records in the node
+	// and descriptor domains, claimed at construction.
+	nodeHP, descHP []atomic.Uint64
 
 	// free is a FIFO ring of recyclable slot indexes (owned by this
 	// thread): popped at freeHead, pushed at the back, compacted in place
@@ -74,7 +79,26 @@ type Ctx struct {
 	trc *obs.Tracer
 
 	stuck stuckState // diagnostic state for stale-reference detection
+
+	ctr ctxCounters
 }
+
+// ctxCounters are the §7 false-helping metrics ("a lot of extra CASs")
+// for one context. Only the owning thread writes them, with a load and
+// a store rather than a locked add; Pool.Stats sums them. A full line
+// of padding on each side keeps them off the lines of the Ctx's other
+// fields and of neighbouring allocations, however the Ctx is aligned.
+type ctxCounters struct {
+	_      pad.Line
+	helps  atomic.Uint64 // helper entries into the pair protocol
+	khelps atomic.Uint64 // helper entries into the general protocol
+	strays atomic.Uint64 // stray descriptor refs reverted after decision
+	lateP2 atomic.Uint64 // pair ptr2 installs that lost the status race
+	_      pad.Line
+}
+
+// bump adds one to an owner-written counter.
+func bump(ctr *atomic.Uint64) { ctr.Store(ctr.Load() + 1) }
 
 type retiredDesc struct {
 	d   *Desc
@@ -83,7 +107,10 @@ type retiredDesc struct {
 
 // NewCtx creates the per-thread context over the given slot assignment.
 func NewCtx(pool *Pool, nodeDom *hazard.Domain, tid int, slots Slots) *Ctx {
-	return &Ctx{tid: tid, pool: pool, nodeDom: nodeDom, slots: slots}
+	c := &Ctx{tid: tid, pool: pool, slots: slots,
+		nodeHP: nodeDom.Record(tid), descHP: pool.dom.Record(tid)}
+	pool.register(c)
+	return c
 }
 
 // TID returns the thread id this context was created for.
@@ -241,7 +268,7 @@ func (c *Ctx) scrubPair(d *Desc, ref uint64) {
 			break
 		}
 		if e1.Ptr.CAS(v, e1.Old) {
-			c.pool.strayCleanups.Add(1)
+			bump(&c.ctr.strays)
 		}
 	}
 	for i := 0; i < 16; i++ {
@@ -250,7 +277,7 @@ func (c *Ctx) scrubPair(d *Desc, ref uint64) {
 			break
 		}
 		if e2.Ptr.CAS(v, e2.Old) {
-			c.pool.strayCleanups.Add(1)
+			bump(&c.ctr.strays)
 		}
 	}
 }

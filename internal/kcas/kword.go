@@ -200,8 +200,8 @@ func (c *Ctx) promote(d *Desc, mref uint64, i int) {
 // descriptor identity, mirror the initiator's hazard pointers, then run.
 func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 	idx := word.DescIndex(v)
-	c.pool.dom.Protect(c.tid, c.slots.KHPD, idx+1)
-	defer c.pool.dom.Clear(c.tid, c.slots.KHPD)
+	c.descHP[c.slots.KHPD].Store(idx + 1)
+	defer c.descHP[c.slots.KHPD].Store(0)
 	if w.Load() != v {
 		return
 	}
@@ -211,14 +211,14 @@ func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 		return
 	}
 	for i := 0; i < d.N && i < MaxEntries; i++ {
-		c.nodeDom.Protect(c.tid, c.slots.KMirrorBase+i, d.Entries[i].HP)
+		c.nodeHP[c.slots.KMirrorBase+i].Store(d.Entries[i].HP)
 	}
-	c.pool.khelps.Add(1)
+	bump(&c.ctr.khelps)
 	// Help-enter attribution: helper = this thread, victim = initiator.
 	c.obsEvent(obs.KCASHelp, obs.EvHelp, d.owner.Load(), mref)
 	c.run(d, mref)
 	for i := 0; i < MaxEntries; i++ {
-		c.nodeDom.Clear(c.tid, c.slots.KMirrorBase+i)
+		c.nodeHP[c.slots.KMirrorBase+i].Store(0)
 	}
 }
 
@@ -227,8 +227,8 @@ func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 // sub-descriptor.
 func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
 	idx := word.DescIndex(rref)
-	c.pool.dom.Protect(c.tid, c.slots.RDCSSHPD, idx+1)
-	defer c.pool.dom.Clear(c.tid, c.slots.RDCSSHPD)
+	c.descHP[c.slots.RDCSSHPD].Store(idx + 1)
+	defer c.descHP[c.slots.RDCSSHPD].Store(0)
 	if w.Load() != rref {
 		return
 	}

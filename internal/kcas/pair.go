@@ -42,8 +42,8 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 		// process is still inside its operation and holds its own
 		// protections, so these mirrors become visible to any future
 		// hazard scan before the initiator's slots are cleared (Lemma 6).
-		c.nodeDom.Protect(c.tid, c.slots.PairMirror1, e1.HP)
-		c.nodeDom.Protect(c.tid, c.slots.PairMirror2, e2.HP)
+		c.nodeHP[c.slots.PairMirror1].Store(e1.HP)
+		c.nodeHP[c.slots.PairMirror2].Store(e2.HP)
 	}
 
 	if r := d.status.Load(); r == statusSuccess || r == statusSecondFailed { // D4
@@ -53,11 +53,11 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 		// ptr1 (only line D10 installs unmarked refs).
 		if word.IsMarkedDesc(ref) { // D5
 			if e2.Ptr.CAS(ref, e2.Old) { // D6
-				c.pool.strayCleanups.Add(1)
+				bump(&c.ctr.strays)
 			}
 		} else if !initiator {
 			if e1.Ptr.CAS(ref, e1.Old) { // D8
-				c.pool.strayCleanups.Add(1)
+				bump(&c.ctr.strays)
 			}
 		}
 		return resultOf(r) // D9
@@ -114,7 +114,7 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 			// We installed our marked descriptor but were not first to
 			// set res: change ptr2 back to its old value (Lemma 3).
 			if e2.Ptr.CAS(mdesc, e2.Old) {
-				c.pool.lateP2.Add(1)
+				bump(&c.ctr.lateP2)
 			}
 		}
 		return SecondFailed // D27
@@ -146,8 +146,8 @@ func resultOf(res uint64) Result {
 // fails; the caller re-reads w.
 func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 	idx := word.DescIndex(v)
-	c.pool.dom.Protect(c.tid, c.slots.PairHPD, idx+1) // D35: hpd ← result
-	defer c.pool.dom.Clear(c.tid, c.slots.PairHPD)
+	c.descHP[c.slots.PairHPD].Store(idx + 1) // D35: hpd ← result
+	defer c.descHP[c.slots.PairHPD].Store(0)
 	if w.Load() != v { // D36: if hpd = *ptr
 		return
 	}
@@ -159,13 +159,13 @@ func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 		c.checkStuck(w, v)
 		return
 	}
-	c.pool.helps.Add(1)
+	bump(&c.ctr.helps)
 	// Help-enter attribution: this thread (helper) is completing the
 	// operation announced by d.Owner() (victim).
 	c.obsEvent(obs.KCASHelp, obs.EvHelp, d.owner.Load(), word.UnmarkDesc(v))
 	c.dcas(d, v, false) // D37: help
-	c.nodeDom.Clear(c.tid, c.slots.PairMirror1)
-	c.nodeDom.Clear(c.tid, c.slots.PairMirror2)
+	c.nodeHP[c.slots.PairMirror1].Store(0)
+	c.nodeHP[c.slots.PairMirror2].Store(0)
 }
 
 // stuckSpins bounds how often a stale descriptor reference may be

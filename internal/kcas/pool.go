@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hazard"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -22,20 +23,23 @@ const (
 // capacity bounds the pool exactly — there is one pool per runtime, so
 // core.Config.DescCapacity is the total descriptor budget, not a
 // per-engine figure.
+//
+// Layout: every At reads slabs, and every scan reads dom; a full line
+// of padding keeps them off the line of the bump allocator's next and
+// the grow lock, written on every carve, whatever the pool's alignment.
+// The §7 false-helping counters are per Ctx (see ctxCounters).
 type Pool struct {
-	slabs  atomic.Pointer[[]*[descSlabSize]Desc]
-	growMu sync.Mutex
+	slabs atomic.Pointer[[]*[descSlabSize]Desc]
+	limit uint64
+	dom   *hazard.Domain // descriptor hazard domain (hpd slots)
+	_     pad.Line
+
 	next   atomic.Uint64
-	limit  uint64
+	growMu sync.Mutex
+	_      pad.Line
 
-	dom *hazard.Domain // descriptor hazard domain (hpd slots)
-
-	// Observability counters (§7 discusses "false helping ... a lot of
-	// extra CASs"; these make that measurable).
-	helps         atomic.Uint64 // helper entries into the pair protocol
-	khelps        atomic.Uint64 // helper entries into the general protocol
-	strayCleanups atomic.Uint64 // stray descriptor refs reverted after decision
-	lateP2        atomic.Uint64 // pair ptr2 installs that lost the status race
+	ctxMu sync.Mutex
+	ctxs  []*Ctx // every context ever created, summed by Stats/KHelps
 }
 
 // NewPool creates a descriptor pool with capacity maxDescs (<=0 selects
@@ -63,13 +67,37 @@ func (p *Pool) At(idx uint64) *Desc {
 func (p *Pool) Capacity() uint64 { return p.limit }
 
 // Stats reports (pair helper entries, stray cleanups, late ptr2
-// installs) — the §7 false-helping metrics.
+// installs) — the §7 false-helping metrics — summed over every
+// context: exact once the threads are quiescent.
 func (p *Pool) Stats() (helps, strays, lateP2 uint64) {
-	return p.helps.Load(), p.strayCleanups.Load(), p.lateP2.Load()
+	p.ctxMu.Lock()
+	defer p.ctxMu.Unlock()
+	for _, c := range p.ctxs {
+		helps += c.ctr.helps.Load()
+		strays += c.ctr.strays.Load()
+		lateP2 += c.ctr.lateP2.Load()
+	}
+	return helps, strays, lateP2
 }
 
-// KHelps reports helper entries into the general k-word protocol.
-func (p *Pool) KHelps() uint64 { return p.khelps.Load() }
+// KHelps reports helper entries into the general k-word protocol,
+// summed over every context.
+func (p *Pool) KHelps() uint64 {
+	p.ctxMu.Lock()
+	defer p.ctxMu.Unlock()
+	var n uint64
+	for _, c := range p.ctxs {
+		n += c.ctr.khelps.Load()
+	}
+	return n
+}
+
+// register adds a context to the set Stats and KHelps sum over.
+func (p *Pool) register(c *Ctx) {
+	p.ctxMu.Lock()
+	p.ctxs = append(p.ctxs, c)
+	p.ctxMu.Unlock()
+}
 
 // Carved reports how many descriptor slots the pool's bump allocator
 // has handed out; a flat count under sustained load means recycling is

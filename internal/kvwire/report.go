@@ -101,23 +101,34 @@ type SlowDoc struct {
 	Exemplars []obs.Span `json:"exemplars"`
 }
 
-// Audit is the conservation verdict of one kvload run: the totals the
-// client expects from its tracked successful responses against the
-// totals the server's AUDIT command observed after quiesce. Moves,
-// transfers and drains must leave all three invariant — an entry
-// relocated between tenants is in exactly one map (or queue) at every
-// instant, so only PUT/DEL (and PUSH/POP) change the totals.
+// Audit is the conservation verdict of one kvload run: the change in
+// totals the client expects from its tracked successful responses
+// against the change the server's AUDIT command observed between the
+// start of the run and quiesce. Moves, transfers and drains must leave
+// all three invariant — an entry relocated between tenants is in
+// exactly one map (or queue) at every instant, so only PUT/DEL (and
+// PUSH/POP) change the totals. Auditing changes rather than totals
+// lets a run against a server that already holds data pass as cleanly
+// as one against a fresh server; the run must be the server's only
+// client.
 type Audit struct {
 	Pass bool `json:"pass"`
 
-	ExpectMapCount uint64 `json:"expect_map_count"`
-	GotMapCount    uint64 `json:"got_map_count"`
-	// Map value-sums wrap around uint64; equality still witnesses the
-	// value multiset when values are unique random tokens.
-	ExpectMapSum     uint64 `json:"expect_map_sum"`
-	GotMapSum        uint64 `json:"got_map_sum"`
-	ExpectQueueCount uint64 `json:"expect_queue_count"`
-	GotQueueCount    uint64 `json:"got_queue_count"`
+	// The server's totals before the run (its AUDIT answer ahead of
+	// the prefill).
+	BaseMapCount   uint64 `json:"base_map_count"`
+	BaseMapSum     uint64 `json:"base_map_sum"`
+	BaseQueueCount uint64 `json:"base_queue_count"`
+
+	// Signed changes over the run. Map value-sums wrap (two's
+	// complement); equality still witnesses the value multiset when
+	// values are unique random tokens.
+	ExpectMapCount   int64 `json:"expect_map_count"`
+	GotMapCount      int64 `json:"got_map_count"`
+	ExpectMapSum     int64 `json:"expect_map_sum"`
+	GotMapSum        int64 `json:"got_map_sum"`
+	ExpectQueueCount int64 `json:"expect_queue_count"`
+	GotQueueCount    int64 `json:"got_queue_count"`
 }
 
 // RobustCounters is the degradation-path accounting both binaries

@@ -18,10 +18,12 @@
 package mm
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hazard"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -48,12 +50,14 @@ type Manager struct {
 	carveBatch int
 	retireAt   int
 
-	// counters for tests and diagnostics
-	frees   atomic.Uint64
-	allocs  atomic.Uint64
-	scans   atomic.Uint64
+	// Rare-path counters for tests and diagnostics: a spill or refill
+	// moves a whole segment, so a shared counter costs nothing per node.
+	// The per-node counters live in each Cache.
 	spills  atomic.Uint64
 	refills atomic.Uint64
+
+	cachesMu sync.Mutex
+	caches   []*Cache // every cache ever created, summed by Stats
 }
 
 // Config tunes a Manager.
@@ -119,30 +123,59 @@ func (m *Manager) GlobalSegments() int {
 }
 
 // Stats reports cumulative counters: allocations, frees, hazard scans,
-// spills to and refills from the global stack.
+// spills to and refills from the global stack. The per-node counters
+// are summed over every cache: exact once the threads are quiescent, a
+// momentary lower bound while they run.
 func (m *Manager) Stats() (allocs, frees, scans, spills, refills uint64) {
-	return m.allocs.Load(), m.frees.Load(), m.scans.Load(), m.spills.Load(), m.refills.Load()
+	m.cachesMu.Lock()
+	for _, c := range m.caches {
+		allocs += c.allocs.Load()
+		frees += c.frees.Load()
+		scans += c.scans.Load()
+	}
+	m.cachesMu.Unlock()
+	return allocs, frees, scans, m.spills.Load(), m.refills.Load()
 }
 
 // Cache is the per-thread view of the manager. Not safe for concurrent
-// use; each registered thread owns exactly one.
+// use; each registered thread owns exactly one. Full-line pads fence
+// the owner-written fields from the read-mostly header and from
+// neighbouring allocations, however the Cache is aligned.
 type Cache struct {
-	m       *Manager
-	tid     int
+	_   pad.Line
+	m   *Manager
+	tid int
+	_   pad.Line
+
 	free    []uint64
 	retired []uint64
 	snap    []uint64
+
+	// Owner-written counters summed by Manager.Stats. The owner bumps
+	// them with a load and a store — no locked instruction — and the
+	// atomics only make the reader's loads well-defined.
+	allocs atomic.Uint64
+	frees  atomic.Uint64
+	scans  atomic.Uint64
+	_      pad.Line
 }
 
 // NewCache creates the per-thread cache for thread tid.
 func (m *Manager) NewCache(tid int) *Cache {
-	return &Cache{
+	c := &Cache{
 		m:       m,
 		tid:     tid,
 		free:    make([]uint64, 0, LocalListCap+1),
 		retired: make([]uint64, 0, m.retireAt+16),
 	}
+	m.cachesMu.Lock()
+	m.caches = append(m.caches, c)
+	m.cachesMu.Unlock()
+	return c
 }
+
+// bump adds one to an owner-written counter.
+func bump(ctr *atomic.Uint64) { ctr.Store(ctr.Load() + 1) }
 
 // Alloc returns a fresh node reference with the node's words reset. The
 // reference has tag 0 and no marks.
@@ -153,7 +186,7 @@ func (c *Cache) Alloc() uint64 {
 	n.Aux.Store(word.Nil)
 	n.Val = 0
 	n.Key = 0
-	c.m.allocs.Add(1)
+	bump(&c.allocs)
 	return word.MakeNode(idx, 0)
 }
 
@@ -180,7 +213,7 @@ func (c *Cache) allocIndex() uint64 {
 // thread still protects it.
 func (c *Cache) Retire(ref uint64) {
 	c.retired = append(c.retired, word.NodeIndex(ref))
-	c.m.frees.Add(1)
+	bump(&c.frees)
 	if len(c.retired) >= c.m.retireAt {
 		c.Scan()
 	}
@@ -197,14 +230,14 @@ func (c *Cache) ScanHeadroom() int { return c.m.retireAt - len(c.retired) }
 // Q15–Q17 / S8–S10). No other thread can hold a reference, so it skips
 // the hazard scan.
 func (c *Cache) FreeDirect(ref uint64) {
-	c.m.frees.Add(1)
+	bump(&c.frees)
 	c.pushFree(word.NodeIndex(ref))
 }
 
 // Scan partitions the retire list against a snapshot of all hazard
 // pointers; unprotected nodes move to the free list (Michael's scan).
 func (c *Cache) Scan() {
-	c.m.scans.Add(1)
+	bump(&c.scans)
 	c.snap = c.m.dom.Snapshot(c.snap)
 	kept := c.retired[:0]
 	for _, idx := range c.retired {

@@ -60,9 +60,12 @@ type Stack struct {
 
 	// ctrl is the adaptive controller steering the array's active
 	// window (nil when core.Config.Adaptive is off). retries feeds it:
-	// lost top CASes, bumped only on the contention path.
+	// lost top CASes, bumped only on the contention path — on a line of
+	// its own, away from the fields every operation reads.
 	ctrl    *adapt.Controller
+	_       [pad.CacheLineSize - 32]byte
 	retries atomic.Uint64
+	_       pad.Pad56
 }
 
 var _ core.MoveReady = (*Stack)(nil)
